@@ -31,6 +31,8 @@ gateable sets, mirroring how a power manager would choose victims.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -44,7 +46,13 @@ __all__ = ["ReconfigEvent", "ReconfigurationManager"]
 
 @dataclass
 class ReconfigEvent:
-    """Record of one reconfiguration: what changed and what it cost."""
+    """Record of one reconfiguration: what changed and what it cost.
+
+    ``tables_updated`` is the radius-2 neighborhood of every changed
+    endpoint — the routers that must hold and revalidate — not the set
+    of tables actually rebuilt: :meth:`GreediestRouting.rebuild` skips
+    every router in it whose inputs did not change.
+    """
 
     kind: str  # "gate_off", "gate_on", "unmount", "mount"
     node: int
@@ -70,6 +78,8 @@ class ReconfigurationManager:
         self.topology = topology
         self.routing = routing
         self.events: list[ReconfigEvent] = []
+        #: Routers awaiting one rebuild inside :meth:`coalesced`.
+        self._deferred: set[int] | None = None
 
     # -- ring bookkeeping -------------------------------------------------------
 
@@ -214,7 +224,10 @@ class ReconfigurationManager:
         to_update = self._radius2(changed_endpoints)
         if activate:
             to_update.add(node)
-        self.routing.rebuild(sorted(to_update | {node}))
+        if self._deferred is None:
+            self.routing.rebuild(sorted(to_update | {node}))
+        else:
+            self._deferred |= to_update | {node}
         event.tables_updated = sorted(to_update)
 
         # Step 4: unblock.
@@ -227,6 +240,23 @@ class ReconfigurationManager:
         return event
 
     # -- public API --------------------------------------------------------------------
+
+    @contextmanager
+    def coalesced(self) -> Iterator[None]:
+        """Update routing once for every reconfiguration in the block.
+
+        Each operation inside still blocks, switches and unblocks as
+        usual and records the same event, but the table rebuild of its
+        neighborhood is deferred; on exit the union is rebuilt once
+        against the final topology.  Nothing may route in between, so
+        this suits several nodes switched at one instant.
+        """
+        self._deferred = set()
+        try:
+            yield
+        finally:
+            deferred, self._deferred = self._deferred, None
+            self.routing.rebuild(sorted(deferred))
 
     def power_gate(self, node: int) -> ReconfigEvent:
         """Dynamically power a node (and its links) off."""

@@ -41,7 +41,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.core.coordinates import clockwise_distance
-from repro.core.routing_table import RoutingTable
+from repro.core.routing_table import RoutingTable, TableEntry
 from repro.core.topology import LinkDirection, StringFigureTopology
 from repro.core.virtual_channels import select_virtual_channel
 
@@ -96,6 +96,43 @@ class RouteResult:
         return f"RouteResult(hops={self.hops}, fallback={self.fallback_hops})"
 
 
+def _usable_window(table: RoutingTable) -> tuple[list, list, np.ndarray]:
+    """The usable part of *table* that a :class:`_NodeView` snapshots.
+
+    Returns ``(one_hop, window, via_mask)``: the usable one-hop entries,
+    the window (one-hop entries first, then every usable two-hop entry
+    that still has a usable via), and ``via_mask[i, j]`` — True when
+    window entry *j* is reachable through one-hop entry *i*.  A view is
+    a pure function of these (coordinates are fixed per node id), so
+    equal windows and masks give identical views.
+    """
+    one_hop: list[TableEntry] = []
+    two_hop: list[TableEntry] = []
+    for entry in table.entries():
+        if entry.valid and not entry.blocked:
+            if entry.hop == 1:
+                one_hop.append(entry)
+            elif entry.hop == 2:
+                two_hop.append(entry)
+    nbr_index = {e.node: i for i, e in enumerate(one_hop)}
+    window: list[TableEntry] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    for e in one_hop + two_hop:
+        hits = [nbr_index[via] for via in e.vias if via in nbr_index]
+        # A two-hop entry is only a window target while at least one
+        # of its vias is usable; with every via blocked (mid-
+        # reconfiguration) the entry must drop out of the window, or
+        # greedy selection could pick a target it cannot reach.
+        if hits or e.hop == 1:
+            rows += hits
+            cols += [len(window)] * len(hits)
+            window.append(e)
+    via_mask = np.zeros((len(one_hop), len(window)), dtype=bool)
+    via_mask[rows, cols] = True
+    return one_hop, window, via_mask
+
+
 class _NodeView:
     """Vectorized snapshot of one router's usable table window.
 
@@ -107,6 +144,11 @@ class _NodeView:
     array builds.  ``via_idx``/``inf_mask`` are the per-target via
     lists and the masked-min penalty matrix, precomputed once per
     (re)build rather than per packet.
+
+    ``table`` and ``generation`` name the table state the view was last
+    checked against, so an untouched table is recognized without
+    re-reading it; :meth:`shows` tells whether a re-read window is
+    still the one snapshotted.
     """
 
     __slots__ = (
@@ -114,7 +156,6 @@ class _NodeView:
         "nbr_ids",
         "nbr_coords",
         "win_ids",
-        "win_coords",
         "win_hop",
         "via_mask",
         "via_idx",
@@ -124,45 +165,34 @@ class _NodeView:
         "scratch2",
         "md_out",
         "id_to_nbr_index",
-        "id_to_win_index",
+        "table",
+        "generation",
     )
 
-    def __init__(self, table: RoutingTable, owner_coords) -> None:
-        one_hop = table.one_hop()
-        usable_vias = {e.node for e in one_hop}
-        # A two-hop entry is only a window target while at least one of
-        # its vias is usable; with every via blocked (mid-
-        # reconfiguration) the entry must drop out of the window, or
-        # greedy selection could pick a target it cannot reach.
-        window = one_hop + [
-            e for e in table.two_hop() if e.vias & usable_vias
-        ]
+    def __init__(
+        self, table: RoutingTable, owner_coords, usable: tuple | None = None
+    ) -> None:
+        one_hop, window, mask = _usable_window(table) if usable is None else usable
+        self.table = table
+        self.generation = table.generation
         # Width is pinned explicitly: a router may transiently have an
         # *empty* usable window (every neighbor blocked mid-
         # reconfiguration), and reshape(0, -1) is not defined.
         width = len(one_hop[0].coords) if one_hop else 1
-        self.k = len(one_hop)
-        self.nbr_ids = np.array([e.node for e in one_hop], dtype=np.int64)
-        self.nbr_coords = np.array(
-            [e.coords for e in one_hop], dtype=np.float64
-        ).reshape(len(one_hop), width)
-        self.win_ids = np.array([e.node for e in window], dtype=np.int64)
-        self.win_coords = np.array(
-            [e.coords for e in window], dtype=np.float64
-        ).reshape(len(window), width)
-        self.win_hop = np.array([e.hop for e in window], dtype=np.int64)
-        # via_mask[i, j] is True when window node j is reachable through
-        # one-hop neighbor i.
         k, m = len(one_hop), len(window)
-        mask = np.zeros((k, m), dtype=bool)
-        nbr_index = {e.node: i for i, e in enumerate(one_hop)}
-        for j, entry in enumerate(window):
-            for via in entry.vias:
-                i = nbr_index.get(via)
-                if i is not None:
-                    mask[i, j] = True
+        self.k = k
+        self.win_ids = np.array([e.node for e in window], dtype=np.int64)
+        self.nbr_ids = self.win_ids[:k]
+        win_coords = np.array(
+            [e.coords for e in window], dtype=np.float64
+        ).reshape(m, width)
+        self.nbr_coords = win_coords[:k]
+        self.win_hop = np.array([e.hop for e in window], dtype=np.int64)
         self.via_mask = mask
-        self.via_idx = [np.flatnonzero(mask[:, j]) for j in range(m)]
+        # via_idx[j]: the one-hop rows of column j, ascending.
+        targets, via_rows = np.nonzero(mask.T)
+        bounds = np.searchsorted(targets, np.arange(m + 1)).tolist()
+        self.via_idx = [via_rows[bounds[j] : bounds[j + 1]] for j in range(m)]
         # Adding this to a broadcast win_md row reproduces
         # np.where(mask, win_md, inf) without building the where() per
         # decision (x + 0.0 == x exactly; x + inf == inf).
@@ -171,7 +201,7 @@ class _NodeView:
         if owner_row.shape[1] != width:
             owner_row = np.zeros((1, width), dtype=np.float64)
         self.all_coords = np.ascontiguousarray(
-            np.concatenate([owner_row, self.win_coords], axis=0)
+            np.concatenate([owner_row, win_coords], axis=0)
         )
         # Per-decision scratch space for the fused MD kernel: the
         # result buffer is valid only until the next call on this view,
@@ -179,8 +209,17 @@ class _NodeView:
         self.scratch = np.empty_like(self.all_coords)
         self.scratch2 = np.empty_like(self.all_coords)
         self.md_out = np.empty(self.all_coords.shape[0], dtype=np.float64)
-        self.id_to_nbr_index = nbr_index
-        self.id_to_win_index = {int(n): j for j, n in enumerate(self.win_ids)}
+        self.id_to_nbr_index = {e.node: i for i, e in enumerate(one_hop)}
+
+    def shows(self, usable: tuple) -> bool:
+        """Whether this view already snapshots the :func:`_usable_window`
+        result *usable* (same window order, same via mask)."""
+        one_hop, window, mask = usable
+        return (
+            self.k == len(one_hop)
+            and self.win_ids.tolist() == [e.node for e in window]
+            and np.array_equal(self.via_mask, mask)
+        )
 
 
 class GreediestRouting:
@@ -216,9 +255,13 @@ class GreediestRouting:
         self._uni = topology.direction is LinkDirection.UNI
         self.tables: dict[int, RoutingTable] = {}
         self._views: dict[int, _NodeView] = {}
-        #: Bumped on every table/view (re)build so decision caches keyed
-        #: on the old tables (e.g. GreedyPolicy's) auto-invalidate —
-        #: offline reconfiguration never tells policies about itself.
+        #: router -> (one-hop list, their neighbor lists) its table was
+        #: last built from by a partial :meth:`rebuild`.
+        self._inputs: dict[int, tuple] = {}
+        #: Bumped whenever a view is replaced or dropped, so decision
+        #: caches keyed on the old views (e.g. GreedyPolicy's)
+        #: auto-invalidate — offline reconfiguration never tells
+        #: policies about itself.  Decisions read only the views.
         self.version = 0
         self._coord_matrix = np.array(
             [topology.coords.vector(v) for v in range(topology.num_nodes)],
@@ -238,24 +281,75 @@ class GreediestRouting:
     # -- table management -----------------------------------------------------
 
     def rebuild(self, nodes: Sequence[int] | None = None) -> None:
-        """(Re)build routing tables for *nodes* (default: every active node)."""
-        self.version += 1
-        targets = self.topology.active_nodes if nodes is None else nodes
-        for v in targets:
-            if self.topology.is_active(v):
-                self.tables[v] = RoutingTable.build(self.topology, v)
+        """(Re)build routing tables for *nodes* (default: every active node).
+
+        Every listed active router ends with a fresh table — unblocked,
+        valid, full via sets — equal to :meth:`RoutingTable.build` on
+        the current topology; listed inactive routers lose theirs.  A
+        table is a function of the router's active one-hop list and of
+        each of those neighbors' active neighbor lists, so a router
+        whose lists match its last build, and whose table no repair
+        primitive has edited since, only has its blocking bits cleared.
+        Views are kept wherever the usable window did not change.
+
+        The full build (``nodes=None``) records no inputs — the
+        constructor should not pay for them — so a router's first
+        partial rebuild always builds.
+        """
+        topo = self.topology
+        if nodes is None:
+            self._inputs.clear()
+            for v in topo.active_nodes:
+                self.tables[v] = RoutingTable.build(topo, v)
                 self._views[v] = _NodeView(self.tables[v], self._coord_matrix[v])
-            else:
+            self.version += 1
+            return
+        changed = False
+        for v in nodes:
+            if not topo.is_active(v):
                 self.tables.pop(v, None)
-                self._views.pop(v, None)
+                self._inputs.pop(v, None)
+                changed |= self._views.pop(v, None) is not None
+                continue
+            one_hop = topo.neighbors(v)
+            inputs = (one_hop, [topo.neighbors(w) for w in one_hop])
+            table = self.tables.get(v)
+            if table is not None and not table.edited and self._inputs.get(v) == inputs:
+                table.unblock_all()
+            else:
+                table = self.tables[v] = RoutingTable.build(topo, v)
+                self._inputs[v] = inputs
+            changed |= self._refresh_view(v, table)
+        if changed:
+            self.version += 1
 
     def refresh_views(self, nodes: Sequence[int] | None = None) -> None:
-        """Re-snapshot vectorized views after manual table bit flips."""
-        self.version += 1
+        """Re-snapshot vectorized views after manual table bit flips.
+
+        A view whose table is untouched, or whose usable window came
+        out the same, is kept.
+        """
         targets = self.tables.keys() if nodes is None else nodes
+        changed = False
         for v in list(targets):
-            if v in self.tables:
-                self._views[v] = _NodeView(self.tables[v], self._coord_matrix[v])
+            table = self.tables.get(v)
+            if table is not None:
+                changed |= self._refresh_view(v, table)
+        if changed:
+            self.version += 1
+
+    def _refresh_view(self, v: int, table: RoutingTable) -> bool:
+        """Bring *v*'s view in line with *table*; True if it was replaced."""
+        view = self._views.get(v)
+        if view is not None and view.table is table and view.generation == table.generation:
+            return False
+        usable = _usable_window(table)
+        if view is not None and view.shows(usable):
+            view.table = table
+            view.generation = table.generation
+            return False
+        self._views[v] = _NodeView(table, self._coord_matrix[v], usable)
+        return True
 
     def table(self, node: int) -> RoutingTable:
         """Routing table of *node*."""

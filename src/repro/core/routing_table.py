@@ -59,6 +59,14 @@ class RoutingTable:
         self.owner = owner
         self.num_ports = num_ports
         self._entries: dict[int, TableEntry] = {}
+        #: Bumped by every primitive that touches an entry, so a cached
+        #: snapshot of the table (a routing view) can tell in O(1) that
+        #: nothing changed since it was taken.
+        self.generation = 0
+        #: Set once a repair primitive (``invalidate``, ``validate``,
+        #: ``set_hop``, ``drop_via``) edits an entry: the table is then
+        #: no longer what :meth:`build` gives, even with blocks cleared.
+        self.edited = False
 
     # -- construction --------------------------------------------------------
 
@@ -130,43 +138,52 @@ class RoutingTable:
 
     # -- reconfiguration primitives (paper §III-C) -----------------------------
 
+    def _touch(self, node: int, edit: bool = False) -> TableEntry | None:
+        entry = self._entries.get(node)
+        if entry is not None:
+            self.generation += 1
+            self.edited |= edit
+        return entry
+
     def block(self, node: int) -> None:
         """Set the blocking bit on the entry for *node* (step 1/4)."""
-        entry = self._entries.get(node)
+        entry = self._touch(node)
         if entry is not None:
             entry.blocked = True
 
     def unblock(self, node: int) -> None:
         """Clear the blocking bit on the entry for *node* (step 4/4)."""
-        entry = self._entries.get(node)
+        entry = self._touch(node)
         if entry is not None:
             entry.blocked = False
 
     def block_all(self) -> None:
         """Block every entry (coarse atomic-reconfiguration window)."""
+        self.generation += 1
         for entry in self._entries.values():
             entry.blocked = True
 
     def unblock_all(self) -> None:
         """Unblock every entry."""
+        self.generation += 1
         for entry in self._entries.values():
             entry.blocked = False
 
     def invalidate(self, node: int) -> None:
         """Clear the valid bit on the entry for *node* (step 3/4)."""
-        entry = self._entries.get(node)
+        entry = self._touch(node, edit=True)
         if entry is not None:
             entry.valid = False
 
     def validate(self, node: int) -> None:
         """Set the valid bit on the entry for *node* (step 3/4, reverse)."""
-        entry = self._entries.get(node)
+        entry = self._touch(node, edit=True)
         if entry is not None:
             entry.valid = True
 
     def set_hop(self, node: int, hop: int, vias: set[int] | None = None) -> None:
         """Flip an entry's hop bit (2-hop neighbor promoted to 1-hop etc.)."""
-        entry = self._entries.get(node)
+        entry = self._touch(node, edit=True)
         if entry is None:
             raise KeyError(f"router {self.owner} has no entry for node {node}")
         entry.hop = hop
@@ -175,7 +192,7 @@ class RoutingTable:
 
     def drop_via(self, node: int, via: int) -> None:
         """Remove a via from a 2-hop entry; invalidate if none remain."""
-        entry = self._entries.get(node)
+        entry = self._touch(node, edit=True)
         if entry is None:
             return
         entry.vias.discard(via)

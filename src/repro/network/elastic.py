@@ -23,8 +23,9 @@ One power-down operation runs as a timed pipeline:
 3. **Switch** — after the sleep latency from
    :mod:`repro.energy.power_gating` elapses, the physical
    reconfiguration happens (links off, shortcut wires in, tables
-   rebuilt).  Packets still queued on a link that just disappeared are
-   re-routed from their current router with fresh routing state.
+   rebuilt — once for the whole batch, not once per node).  Packets
+   still queued on a link that just disappeared are re-routed from
+   their current router with fresh routing state.
 4. **Revalidate + unblock** — routers whose tables were rewritten hold
    arriving packets for the short revalidation window, then every
    parked packet re-enters and the network is fully open again.
@@ -372,13 +373,14 @@ class LiveReconfigurator:
                 lambda t: self._switch_off(t, kind, nodes, event),
             )
             return
-        for node in nodes:
-            offline = (
-                self.manager.power_gate(node)
-                if kind == "gate_off"
-                else self.manager.unmount(node)
-            )
-            event.offline_events.append(offline)
+        with self.manager.coalesced():
+            for node in nodes:
+                offline = (
+                    self.manager.power_gate(node)
+                    if kind == "gate_off"
+                    else self.manager.unmount(node)
+                )
+                event.offline_events.append(offline)
         event.t_switched = now
         self._after_switch(now, event)
 
@@ -388,13 +390,14 @@ class LiveReconfigurator:
         """Power-on path: wake latency already paid; switch + revalidate."""
         event.t_blocked = now
         self._window_active = True
-        for node in reversed(nodes):
-            offline = (
-                self.manager.power_on(node)
-                if kind == "gate_on"
-                else self.manager.mount(node)
-            )
-            event.offline_events.append(offline)
+        with self.manager.coalesced():
+            for node in reversed(nodes):
+                offline = (
+                    self.manager.power_on(node)
+                    if kind == "gate_on"
+                    else self.manager.mount(node)
+                )
+                event.offline_events.append(offline)
         event.t_switched = now
         self._after_switch(now, event)
 

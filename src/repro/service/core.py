@@ -49,13 +49,28 @@ from typing import Any, Callable
 
 from repro.network.packet import Packet, PacketKind
 
-__all__ = ["FabricService", "ServiceRequest", "TenantStats"]
+__all__ = ["FabricService", "ServiceRequest", "TenantStats", "request_field_error"]
 
 #: Request packets carry address + tag in a 16-byte header.
 REQUEST_HEADER_BYTES = 16
 
 #: Terminal request states (``ServiceRequest.status`` values).
 TERMINAL_STATES = ("done", "shed", "failed", "timeout", "error")
+
+
+def request_field_error(page: Any, offset: Any, size: Any) -> str | None:
+    """Why a request's numeric fields are malformed, or None if they are not.
+
+    ``page``, ``offset`` and ``size`` must be integers (a bool is not
+    one, nor is an integral float); ``size`` may also be None (one
+    cacheline).  Range checks come later, on the logged request.
+    """
+    for name, value in (("page", page), ("offset", offset), ("size", size)):
+        if value is None and name == "size":
+            continue
+        if not isinstance(value, int) or isinstance(value, bool):
+            return f"{name} must be an integer, got {value!r}"
+    return None
 
 
 @dataclass
@@ -435,8 +450,13 @@ class FabricService:
         invariant in the module docstring).  The request is logged,
         validated, then either injected, queued, or shed; ``on_done``
         fires exactly once when the request reaches a terminal state —
-        possibly synchronously (validation error or shed).
+        possibly synchronously (validation error or shed).  Malformed
+        numeric fields (:func:`request_field_error`) raise ``TypeError``
+        before anything is logged or counted.
         """
+        malformed = request_field_error(page, offset, size)
+        if malformed is not None:
+            raise TypeError(malformed)
         now = self.sim.now
         if size is None:
             size = self._config.cacheline_bytes

@@ -21,7 +21,7 @@ import asyncio
 import json
 from typing import Any
 
-from repro.service.core import FabricService, ServiceRequest
+from repro.service.core import FabricService, ServiceRequest, request_field_error
 
 __all__ = ["FabricDaemon"]
 
@@ -116,7 +116,17 @@ class FabricDaemon:
         self._conn_writers.add(writer)
         try:
             while not self._stopping:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # A line past the stream limit: the reader dropped
+                    # what it buffered, so the stream cannot be
+                    # resynchronized — answer, then close only this
+                    # connection.
+                    self._reply(writer, {
+                        "ok": False, "error": f"line too long: {exc}",
+                    })
+                    break
                 if not line:
                     break
                 line = line.strip()
@@ -252,6 +262,17 @@ class FabricDaemon:
 
     def _apply_request(self, payload: tuple[str, dict], writer) -> None:
         tenant, message = payload
+        page = message.get("page", -1)
+        offset = message.get("offset", 0)
+        size = message.get("size")
+        malformed = request_field_error(page, offset, size)
+        if malformed is not None:
+            # Rejected before submit: never logged, so the capture
+            # still replays to the same digest.
+            self._reply(writer, {
+                "ok": False, "id": message.get("id"), "error": malformed,
+            })
+            return
 
         def on_done(req: ServiceRequest, w=writer, mid=message.get("id")):
             """Write the terminal-state response line back to the client."""
@@ -263,9 +284,9 @@ class FabricDaemon:
         self.service.submit(
             tenant,
             message["op"],
-            int(message.get("page", -1)),
-            offset=int(message.get("offset", 0)),
-            size=message.get("size"),
+            page,
+            offset=offset,
+            size=size,
             req_id=message.get("id"),
             on_done=on_done,
         )

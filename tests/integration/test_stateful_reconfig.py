@@ -8,7 +8,9 @@ network and checks the global invariants after every step:
 * every active pair remains routable (sampled);
 * routing tables reference only active nodes;
 * port budgets are never exceeded;
-* restoring all nodes returns to the pristine link set.
+* restoring all nodes returns to the pristine link set;
+* every router's table and view equal a from-scratch build, whether
+  nodes switch one at a time or several within one coalesced update.
 
 Two hypothesis profiles are registered: the quick ``dev`` profile
 (default) and a ``ci`` profile with more examples, longer operation
@@ -50,6 +52,7 @@ settings.register_profile(
 from repro.core.reconfig import ReconfigurationManager
 from repro.core.routing import GreediestRouting
 from repro.core.topology import StringFigureTopology
+from tests.core.routing_equivalence import assert_routing_fresh
 
 NUM_NODES = 32
 
@@ -71,6 +74,19 @@ class ReconfigMachine(RuleBasedStateMachine):
         victim = candidates[idx % len(candidates)]
         self.manager.power_gate(victim)
         self.gated.append(victim)
+
+    @rule(
+        idxs=st.lists(
+            st.integers(min_value=0, max_value=200), min_size=2, max_size=4
+        )
+    )
+    def gate_batch(self, idxs):
+        # Several gate_one steps with one routing update at the end;
+        # victims are picked one at a time, as the topology (unlike the
+        # tables) changes at every step.
+        with self.manager.coalesced():
+            for idx in idxs:
+                self.gate_one(idx)
 
     @rule(idx=st.integers(min_value=0, max_value=200))
     def restore_one(self, idx):
@@ -107,6 +123,11 @@ class ReconfigMachine(RuleBasedStateMachine):
             table = self.routing.tables[node]
             for entry in table.one_hop() + table.two_hop():
                 assert entry.node in active
+
+    @invariant()
+    def tables_match_fresh_build(self):
+        if hasattr(self, "routing"):
+            assert_routing_fresh(self.routing)
 
     @invariant()
     def sampled_pairs_routable(self):

@@ -5,8 +5,11 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
 from repro.service.core import FabricService
 from repro.service.daemon import FabricDaemon
+from repro.service.log import RequestLog, replay
 
 
 async def boot(**overrides):
@@ -136,5 +139,89 @@ def test_concurrent_clients_all_complete():
         assert len(done) == 80
         assert all(status == "done" for status in done)
         assert service.queued_total > 0  # budget 6 vs 8 clients
+
+    asyncio.run(scenario())
+
+
+MALFORMED_FIELDS = [
+    {"page": None},
+    {"page": "x"},
+    {"page": 3.7},
+    {"page": True},
+    {"page": 1, "size": "big"},
+    {"page": 1, "size": 2.0},
+    {"page": 1, "offset": "0"},
+]
+
+
+@pytest.mark.parametrize("fields", MALFORMED_FIELDS, ids=repr)
+def test_malformed_request_fields_answered_not_fatal(fields):
+    """Malformed page/offset/size get an error reply and are never
+    submitted: the pump keeps running, every request is conserved and
+    the capture replays to the same digest."""
+
+    async def scenario():
+        service, daemon, host, port = await boot()
+        reader, writer = await connect(host, port)
+        before = await roundtrip(
+            reader, writer, {"op": "read", "page": 1, "id": "before"}
+        )
+        assert before["ok"]
+        bad = await asyncio.wait_for(
+            roundtrip(reader, writer, {"op": "read", "id": "bad", **fields}), 10
+        )
+        assert bad["ok"] is False and bad["id"] == "bad"
+        assert "must be an integer" in bad["error"]
+        assert not daemon._pump_task.done()
+        after = await asyncio.wait_for(
+            roundtrip(reader, writer, {"op": "write", "page": 2, "id": "after"}),
+            10,
+        )
+        assert after["ok"]
+        drained = await roundtrip(reader, writer, {"op": "drain", "id": "d"})
+        assert drained["requests_conserved"] and drained["all_conserved"]
+        writer.close()
+        await daemon.stop()
+        return service
+
+    service = asyncio.run(scenario())
+    requests = [e for e in service.log_entries if e["kind"] == "request"]
+    assert [e["req_id"] for e in requests] == ["before", "after"]
+    assert replay(RequestLog.capture(service)).digest() == service.digest()
+
+
+def test_submit_rejects_malformed_fields_before_logging():
+    service = FabricService(nodes=36, design="SF", footprint_pages=64)
+    for fields in MALFORMED_FIELDS:
+        kwargs = {k: v for k, v in fields.items() if k != "page"}
+        with pytest.raises(TypeError, match="must be an integer"):
+            service.submit("a", "read", fields["page"], **kwargs)
+    assert service.log_entries == []
+    assert service.snapshot()["submitted"] == 0
+
+
+def test_oversized_line_closes_only_that_connection():
+    async def scenario():
+        service, daemon, host, port = await boot()
+        r1, w1 = await connect(host, port)
+        r2, w2 = await connect(host, port)
+        w1.write(b'{"op": "read", "pad": "' + b"x" * (1 << 17) + b'"}\n')
+        await w1.drain()
+        reply = json.loads(await asyncio.wait_for(r1.readline(), 10))
+        assert reply["ok"] is False and "line too long" in reply["error"]
+        # Closed by the daemon: EOF, or a reset when the unread tail of
+        # the long line was still queued at the server's socket.
+        try:
+            assert await asyncio.wait_for(r1.read(), 10) == b""
+        except ConnectionResetError:
+            pass
+        resp = await asyncio.wait_for(
+            roundtrip(r2, w2, {"op": "read", "page": 5, "id": "ok"}), 10
+        )
+        assert resp["ok"] and resp["id"] == "ok"
+        assert not daemon._pump_task.done()
+        w1.close()
+        w2.close()
+        await daemon.stop()
 
     asyncio.run(scenario())
